@@ -158,13 +158,16 @@ fn eps(c: &CellResult) -> f64 {
     c.events as f64 / c.wall_s.max(1e-9)
 }
 
-/// Median of a small sample (the smoke's noise defense).
-fn median(xs: &mut Vec<f64>) -> f64 {
+/// Median of a small sample (the smoke's noise defense). An empty
+/// sample has no median.
+fn median(xs: &mut [f64]) -> Result<f64, String> {
     xs.sort_by(f64::total_cmp);
-    xs.get(xs.len() / 2).copied().unwrap_or(0.0)
+    xs.get(xs.len() / 2)
+        .copied()
+        .ok_or_else(|| "median of an empty sample".to_string())
 }
 
-fn smoke(spec: &TraceSpec) {
+fn smoke(spec: &TraceSpec) -> Result<(), String> {
     header();
     let mut small = Vec::new();
     let mut big = Vec::new();
@@ -176,7 +179,7 @@ fn smoke(spec: &TraceSpec) {
         print_cell(&b);
         big.push(eps(&b));
     }
-    let ratio = median(&mut big) / median(&mut small).max(1e-9);
+    let ratio = median(&mut big)? / median(&mut small)?.max(1e-9);
     println!(
         "\nflatness: median 256-node events/s over {SMOKE_TRIALS} interleaved \
          pairs is {ratio:.2}x the 16-node figure (floor {FLATNESS_FLOOR})"
@@ -189,6 +192,7 @@ fn smoke(spec: &TraceSpec) {
         std::process::exit(1);
     }
     println!("smoke passed");
+    Ok(())
 }
 
 fn main() {
@@ -212,7 +216,10 @@ fn main() {
     );
 
     if smoke_mode {
-        smoke(&spec);
+        if let Err(e) = smoke(&spec) {
+            eprintln!("perf_scaling: {e}");
+            std::process::exit(1);
+        }
         return;
     }
 
@@ -301,4 +308,15 @@ fn render_json(spec: &TraceSpec, requests: usize, cells: &[CellResult]) -> Strin
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::median;
+
+    #[test]
+    fn median_refuses_an_empty_sample() {
+        assert!(median(&mut []).is_err());
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), Ok(2.0));
+    }
 }

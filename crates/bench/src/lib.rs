@@ -279,17 +279,20 @@ pub fn write_throughput_figure_to(
     let nodes: Vec<usize> = model.iter().map(|&(n, _)| n).collect();
     for (i, &n) in nodes.iter().enumerate() {
         let get = |p: PolicyKind| {
-            cells
-                .iter()
-                .find(|c| c.nodes == n && c.policy == p)
+            cell(cells, n, p)
                 .map(|c| c.report.throughput_rps)
-                .unwrap_or(0.0)
+                .ok_or_else(|| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        format!("{fig}: no {} cell at {n} nodes", p.name()),
+                    )
+                })
         };
         let row = [
             model[i].1,
-            get(PolicyKind::L2s),
-            get(PolicyKind::Lard),
-            get(PolicyKind::Traditional),
+            get(PolicyKind::L2s)?,
+            get(PolicyKind::Lard)?,
+            get(PolicyKind::Traditional)?,
         ];
         table.row_f64([cast::len_f64(n), row[0], row[1], row[2], row[3]]);
         for (s, v) in series.iter_mut().zip(row) {
@@ -514,6 +517,25 @@ mod tests {
         assert!(csv.starts_with("nodes,model,l2s,lard,traditional"));
         assert_eq!(csv.lines().count(), 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn figure_writer_refuses_a_missing_cell() {
+        let dir = std::env::temp_dir().join("l2s-bench-test-missing-cell");
+        let spec = TraceSpec::calgary().scaled(200, 2_000);
+        let trace = spec.generate(4);
+        let cells = sweep(&trace, &[1], &[PolicyKind::L2s, PolicyKind::Lard], |n| {
+            SimConfig::quick(n, 1_000.0)
+        });
+        let model = [(1, 1_000.0)];
+        let err = write_throughput_figure_to(&dir, "figtest", &spec, &cells, &model)
+            .expect_err("a missing traditional cell must not print as 0");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(
+            err.to_string().contains("no traditional cell at 1 nodes"),
+            "{err}"
+        );
+        assert!(!dir.join("figtest.csv").exists(), "nothing is written");
     }
 
     #[test]

@@ -228,7 +228,28 @@ impl LoadIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{argmin, argmin_rotating};
+    use crate::argmin_rotating;
+
+    /// Index of the minimum value, lowest index winning ties; 0 for an
+    /// empty iterator. The reference model [`LoadIndex::argmin`] is
+    /// checked against.
+    fn argmin<T: PartialOrd + Copy>(values: impl Iterator<Item = (usize, T)>) -> usize {
+        let mut best: Option<(usize, T)> = None;
+        for (i, v) in values {
+            match best {
+                None => best = Some((i, v)),
+                Some((_, bv)) if v < bv => best = Some((i, v)),
+                _ => {}
+            }
+        }
+        best.map(|(i, _)| i).unwrap_or(0)
+    }
+
+    #[test]
+    fn argmin_prefers_lowest_index_on_ties() {
+        let v = [3.0, 1.0, 1.0, 2.0];
+        assert_eq!(argmin(v.iter().copied().enumerate()), 1);
+    }
 
     fn full(n: usize) -> LoadIndex {
         let mut ix = LoadIndex::new(n);

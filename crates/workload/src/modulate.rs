@@ -212,10 +212,20 @@ impl WorkloadMod {
         let src = (u64::from(id32) + u64::from(population) - u64::from(rotation))
             .rem_euclid(u64::from(population));
         let base_p = base[cast::index_usize(src)];
-        let mut weights = Vec::with_capacity(self.flash.len());
-        let total = self.flash_weights_at(t, &mut weights);
-        let mut p = (1.0 - total) * base_p;
-        for (crowd, &w) in self.flash.iter().zip(&weights) {
+        // `flash_weights_at`'s sum and cap, without its buffer: the
+        // cache model calls this for every (time, file) grid point.
+        let mut total = 0.0;
+        for crowd in &self.flash {
+            total += crowd.weight_at(t);
+        }
+        let scale = if total > MAX_REDIRECT {
+            MAX_REDIRECT / total
+        } else {
+            1.0
+        };
+        let mut p = (1.0 - total.min(MAX_REDIRECT)) * base_p;
+        for crowd in &self.flash {
+            let w = crowd.weight_at(t) * scale;
             if w > 0.0 && crowd.contains(id32, population) {
                 p += w / f64::from(crowd.hot_files.min(population));
             }
