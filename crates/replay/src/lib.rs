@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod p99;
 mod timed;
 
 pub use timed::{ReplayConfig, ReplayEngine};

@@ -16,6 +16,7 @@
 //! this policy behave on my live log right now", while exact engine
 //! semantics remain the job of the infinite-speed DES-backed path.
 
+use crate::p99::P99Tracker;
 use l2s::{Placement, PolicyDriver, PolicyKind};
 use l2s_cluster::{build_nodes, CachePolicy, NodeCosts, NodeHardware};
 use l2s_sim::{NodeReport, SimConfig, SimReport};
@@ -42,6 +43,8 @@ pub struct ReplayConfig {
     pub max_requests: Option<usize>,
     /// Record individual response times (needed for the p99 column;
     /// costs O(completed) memory, like the engine's `response_samples`).
+    /// The exact nearest-rank p99 is kept incrementally, O(log n) per
+    /// request, so a snapshot never sorts the samples.
     pub response_samples: bool,
 }
 
@@ -88,7 +91,7 @@ pub struct ReplayEngine {
     forwarded: u64,
     control_msgs: u64,
     response_sum_s: f64,
-    samples_s: Vec<f64>,
+    p99: P99Tracker,
     now: SimTime,
 }
 
@@ -110,7 +113,7 @@ impl ReplayEngine {
             forwarded: 0,
             control_msgs: 0,
             response_sum_s: 0.0,
-            samples_s: Vec::new(),
+            p99: P99Tracker::default(),
             now: SimTime::ZERO,
         }
     }
@@ -135,14 +138,16 @@ impl ReplayEngine {
         // Work queued on the dead node never completes; requests lost
         // this way count as failed, mirroring the engine's abort path
         // (the policy's completion hook settles its load accounting).
-        let drained: Vec<_> = self.inflight.drain().collect();
-        for Reverse(e) in drained {
-            if e.2 == node {
-                self.failed += 1;
-                self.driver.complete(now.as_nanos(), e.2, e.3);
-            } else {
-                self.inflight.push(Reverse(e));
+        let mut lost_files = Vec::new();
+        self.inflight.retain(|&Reverse((_, _, n, file))| {
+            if n == node {
+                lost_files.push(file);
             }
+            n != node
+        });
+        for file in lost_files {
+            self.failed += 1;
+            self.driver.complete(now.as_nanos(), node, file);
         }
         self.collect_messages();
     }
@@ -176,7 +181,7 @@ impl ReplayEngine {
         let response_s = done.saturating_since(at).as_secs_f64();
         self.response_sum_s += response_s;
         if self.cfg.response_samples {
-            self.samples_s.push(response_s);
+            self.p99.offer(response_s);
         }
         self.inflight.push(Reverse((done, self.seq, node, file)));
         self.seq += 1;
@@ -258,6 +263,8 @@ impl ReplayEngine {
     /// The metrics so far, in the engine's [`SimReport`] shape. Fields
     /// the timed model does not measure (router utilization, lifecycle
     /// segments, fault phases, event-queue statistics) report zero.
+    /// Costs O(nodes): the p99 is the exact nearest rank, read from the
+    /// incrementally kept split rather than by sorting the samples.
     pub fn report(&self) -> SimReport {
         let elapsed = SimDuration::from_nanos(self.now.as_nanos());
         let elapsed_s = elapsed.as_secs_f64();
@@ -289,7 +296,6 @@ impl ReplayEngine {
                 cast::exact_f64(num) / cast::exact_f64(den)
             }
         };
-        let p99 = percentile_99(&self.samples_s);
         SimReport {
             policy: self.cfg.policy.name(),
             nodes: self.cfg.nodes,
@@ -318,7 +324,7 @@ impl ReplayEngine {
             } else {
                 0.0
             },
-            p99_response_s: p99,
+            p99_response_s: self.p99.p99(),
             segment_means_s: [0.0; 3],
             failed: self.failed,
             retried: 0,
@@ -330,18 +336,6 @@ impl ReplayEngine {
             per_node,
         }
     }
-}
-
-/// Nearest-rank 99th percentile; `None` when no samples were recorded.
-fn percentile_99(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank =
-        cast::floor_index((cast::len_f64(sorted.len()) * 0.99).ceil()).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
 }
 
 #[cfg(test)]
@@ -401,11 +395,57 @@ mod tests {
         assert_eq!(r.completed, 1);
     }
 
+    /// Sort-and-index reference: the nearest-rank p99 of every sample.
+    fn sorted_p99(samples: &mut [f64]) -> Option<f64> {
+        samples.sort_by(f64::total_cmp);
+        let n = samples.len();
+        let rank = cast::floor_index((cast::len_f64(n) * 0.99).ceil()).clamp(1, n.max(1));
+        samples.get(rank - 1).copied()
+    }
+
     #[test]
-    fn percentile_requires_samples() {
-        assert_eq!(percentile_99(&[]), None);
-        assert_eq!(percentile_99(&[0.5]), Some(0.5));
-        let many: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile_99(&many), Some(99.0));
+    fn every_report_p99_matches_sort_and_index() {
+        let mut e = ReplayEngine::new(ReplayConfig::new(PolicyKind::Lard, 3));
+        let sizes: Vec<f64> = (0..40u32).map(|f| 2.0 + f64::from(f % 7) * 30.0).collect();
+        e.hint_sizes(&sizes);
+        assert_eq!(e.report().p99_response_s, None);
+        let mut offered = Vec::new();
+        let mut at_s = 0.0;
+        for i in 0..1_500u32 {
+            // Bursts of eight simultaneous arrivals build queues, so the
+            // response times spread and repeat.
+            if i % 8 == 0 {
+                at_s += 0.004;
+            }
+            let at = SimTime::from_secs_f64(at_s);
+            let file = i * 7 % 40;
+            e.offer(at, file, sizes[file as usize]).unwrap();
+            let newest = e.seq - 1;
+            let done = e
+                .inflight
+                .iter()
+                .find_map(|&Reverse((done, seq, ..))| (seq == newest).then_some(done))
+                .unwrap();
+            offered.push(done.saturating_since(at).as_secs_f64());
+            let got = e.report().p99_response_s.unwrap();
+            let want = sorted_p99(&mut offered).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "after {} samples", i + 1);
+        }
+        let done = e.finish().p99_response_s.unwrap();
+        assert_eq!(done.to_bits(), sorted_p99(&mut offered).unwrap().to_bits());
+    }
+
+    #[test]
+    fn no_response_samples_means_no_p99() {
+        let mut cfg = ReplayConfig::new(PolicyKind::Traditional, 2);
+        cfg.response_samples = false;
+        let mut e = ReplayEngine::new(cfg);
+        e.hint_sizes(&[4.0]);
+        for i in 0..10u32 {
+            e.offer(SimTime::from_secs_f64(f64::from(i) * 0.01), 0, 4.0);
+        }
+        let r = e.finish();
+        assert_eq!(r.completed, 10);
+        assert_eq!(r.p99_response_s, None);
     }
 }

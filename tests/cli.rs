@@ -1,4 +1,4 @@
-//! End-to-end tests of the `clusterlab` CLI binary.
+//! End-to-end tests of the `clusterlab` and `l2s-replay` CLI binaries.
 
 use std::process::Command;
 
@@ -108,4 +108,83 @@ fn help_prints_usage() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("USAGE"), "{text}");
     assert!(text.contains("clusterlab simulate"), "{text}");
+}
+
+/// A CLF log of `lines` requests, `per_second` to a log second, over a
+/// few files of different sizes so the caches miss and queues build.
+fn clf_log(lines: u32, per_second: u32) -> String {
+    (0..lines)
+        .map(|i| {
+            let s = i / per_second;
+            format!(
+                "c{} - - [01/Jan/2000:10:{:02}:{:02} +0000] \"GET /f{}.html HTTP/1.0\" 200 {}\n",
+                i % 13,
+                s / 60,
+                s % 60,
+                i * 7 % 23,
+                1024 * (1 + i * 7 % 23 * 40)
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn replay_log_as_fast_as_possible_snapshots_and_writes_csv() {
+    use l2s::PolicyKind;
+    use l2s_replay::{replay_stream, ReplayConfig};
+    use l2s_sim::VirtualClock;
+    use l2s_trace::ClfStream;
+
+    let dir = std::env::temp_dir().join(format!("l2s-replay-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (log_path, csv_path) = (dir.join("access.log"), dir.join("report.csv"));
+    // 300 lines at 30 a second span log seconds 0..=9.
+    let log = clf_log(300, 30);
+    std::fs::write(&log_path, &log).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_l2s-replay"))
+        .args(["--log", log_path.to_str().unwrap()])
+        .args(["--policy", "lard", "--nodes", "4", "--cache-mb", "1"])
+        .args(["--as-fast-as-possible", "--snapshot-secs", "1"])
+        .args(["--csv", csv_path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+
+    // The same replay in process, on the CLI's configuration.
+    let mut cfg = ReplayConfig::new(PolicyKind::Lard, 4);
+    cfg.cache_kb = 1024.0;
+    cfg.snapshot_every_s = 1.0;
+    let mut stream = ClfStream::new(log.as_bytes());
+    let mut snapshots = 0;
+    let report = replay_stream(&cfg, &mut stream, &mut VirtualClock::new(), |_| {
+        snapshots += 1
+    })
+    .unwrap();
+    assert_eq!(snapshots, 9, "one snapshot per second boundary crossed");
+
+    let snapshot_lines = text.lines().filter(|l| l.starts_with("[t=")).count();
+    assert_eq!(snapshot_lines, snapshots, "{text}");
+    assert!(
+        text.contains("log lines         : 300 read, 300 kept, 0 dropped\n"),
+        "{text}"
+    );
+    let p99 = report.p99_response_s.expect("samples are on by default");
+    assert!(
+        text.contains(&format!("p99 response      : {:.2} ms", p99 * 1e3)),
+        "{text}"
+    );
+
+    let csv = std::fs::read_to_string(&csv_path).unwrap();
+    let mut rows = csv.lines();
+    let header: Vec<&str> = rows.next().unwrap().split(',').collect();
+    let row: Vec<&str> = rows.next().unwrap().split(',').collect();
+    let col = header.iter().position(|&h| h == "p99_response_s").unwrap();
+    assert_eq!(row[col], format!("{p99:.6}"));
+    std::fs::remove_dir_all(&dir).ok();
 }
