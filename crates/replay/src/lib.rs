@@ -101,7 +101,10 @@ pub fn replay_stream<R: BufRead>(
 ) -> io::Result<SimReport> {
     let mut engine = ReplayEngine::new(cfg.clone());
     let snap_ns = snapshot_period_ns(cfg.snapshot_every_s);
-    let mut next_snap_ns = snap_ns;
+    // `None` once no snapshot is due: snapshots are off, or the next one
+    // would fall past the end of the nanosecond time axis, which log
+    // dates centuries apart reach.
+    let mut next_snap_ns = Some(snap_ns).filter(|&ns| ns > 0);
     let mut hinted = 0usize;
     while let Some(rec) = stream.next_record()? {
         if cfg
@@ -119,10 +122,10 @@ pub fn replay_stream<R: BufRead>(
         }
         let at = SimTime::from_secs_f64(rec.at_s);
         clock.wait_until_ns(at.as_nanos());
-        while snap_ns > 0 && at.as_nanos() >= next_snap_ns {
-            engine.drain_due(SimTime::from_nanos(next_snap_ns));
+        while let Some(due) = next_snap_ns.filter(|&due| at.as_nanos() >= due) {
+            engine.drain_due(SimTime::from_nanos(due));
             on_snapshot(&engine.report());
-            next_snap_ns += snap_ns;
+            next_snap_ns = due.checked_add(snap_ns);
         }
         engine.offer(at, cast::index_u32(rec.file.index()), rec.size_kb);
     }

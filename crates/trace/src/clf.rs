@@ -11,11 +11,21 @@
 //! memory bounded by the number of *distinct* files, not the log
 //! length, and carries each request's arrival time parsed from the CLF
 //! timestamp (`[dd/Mon/yyyy:hh:mm:ss ±zzzz]`).
+//!
+//! [`parse_line`], [`parse_log`] and [`ClfStream`] share one parser,
+//! which borrows its fields from the line, so neither of the latter two
+//! allocates per line.
 
 use crate::{FileId, FileSet, Trace};
 use l2s_util::cast;
-use std::collections::BTreeMap;
 use std::io::{self, BufRead};
+
+/// Marks a free slot in [`FileInterner`]'s table. No id reaches it: a
+/// table holding `u32::MAX` ids would need 2³³ slots.
+const EMPTY: u32 = u32::MAX;
+
+/// Slots allocated by the first [`FileInterner::intern`].
+const MIN_SLOTS: usize = 16;
 
 /// Interns URL paths as dense [`FileId`]s in first-seen order.
 ///
@@ -23,12 +33,26 @@ use std::io::{self, BufRead};
 /// paths) become the dense `u32` indices the rest of the workspace is
 /// built on: ids are handed out consecutively from 0, so downstream
 /// per-file state can be a flat `Vec` indexed by [`FileId::index`].
-/// The map is ordered (`BTreeMap`) only because interning happens at
-/// parse time, far off the simulator's hot path, and the determinism
-/// lint bans hash containers in this crate wholesale.
+///
+/// [`ClfStream`] looks up one path per log line, so the interner is an
+/// open-addressing hash table: a fixed FNV-1a hash (no per-process seed,
+/// so ids, probe sequences and memory use repeat run to run), linear
+/// probing over a `u32` slot table kept at most half full, and every
+/// path stored once in a single arena string. [`FileInterner::new`]
+/// allocates nothing; the table grows on the first `intern`.
+///
+/// The hash is not keyed. A log crafted so that many paths collide
+/// degrades lookups to linear scans over the colliding run; the ids
+/// handed out stay correct.
 #[derive(Clone, Debug, Default)]
 pub struct FileInterner {
-    ids: BTreeMap<String, FileId>,
+    /// Ids by probe position ([`EMPTY`] when free); the length is zero
+    /// or a power of two at least twice the number of ids.
+    slots: Vec<u32>,
+    /// Every interned path, concatenated in id order.
+    arena: String,
+    /// `ends[i]` is the arena offset just past the path of `FileId(i)`.
+    ends: Vec<usize>,
 }
 
 impl FileInterner {
@@ -39,38 +63,112 @@ impl FileInterner {
 
     /// Returns `path`'s id, assigning the next dense index on first sight.
     pub fn intern(&mut self, path: &str) -> FileId {
-        if let Some(&id) = self.ids.get(path) {
-            return id;
+        let hash = fnv1a(path);
+        let mut slot = match self.find(path, hash) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        if 2 * (self.ends.len() + 1) > self.slots.len() {
+            self.grow();
+            slot = self.free_slot(hash);
         }
-        let id = FileId::from_raw(cast::index_u32(self.ids.len()));
-        self.ids.insert(path.to_string(), id);
-        id
+        let id = cast::index_u32(self.ends.len());
+        self.slots[slot] = id;
+        self.arena.push_str(path);
+        self.ends.push(self.arena.len());
+        FileId::from_raw(id)
     }
 
     /// The id previously assigned to `path`, if any.
     pub fn get(&self, path: &str) -> Option<FileId> {
-        self.ids.get(path).copied()
+        self.find(path, fnv1a(path)).ok()
     }
 
     /// Number of distinct paths interned.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.ends.len()
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.ends.is_empty()
     }
 
     /// The interned paths in dense-id order (index `i` is the path of
     /// `FileId(i)`).
     pub fn into_paths(self) -> Vec<String> {
-        let mut paths = vec![String::new(); self.ids.len()];
-        for (path, id) in self.ids {
-            paths[id.index()] = path;
-        }
-        paths
+        (0..self.len())
+            .map(|i| self.path(cast::index_u32(i)).to_string())
+            .collect()
     }
+
+    /// Heap bytes held, by capacity.
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<u32>()
+            + self.arena.capacity()
+            + self.ends.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// The path of id `id`.
+    fn path(&self, id: u32) -> &str {
+        let i = cast::wide_usize(id);
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.arena[start..self.ends[i]]
+    }
+
+    /// The slot `hash` probes first: its top bits, since FNV-1a's final
+    /// multiply mixes every byte into them.
+    fn home(&self, hash: u64) -> usize {
+        cast::index_usize(hash >> (64 - self.slots.len().trailing_zeros()))
+    }
+
+    /// `path`'s id, or the free slot where probing for it stopped.
+    fn find(&self, path: &str, hash: u64) -> Result<FileId, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY {
+                return Err(slot);
+            }
+            if self.path(id) == path {
+                return Ok(FileId::from_raw(id));
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The first free slot on `hash`'s probe sequence.
+    fn free_slot(&self, hash: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        while self.slots[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Doubles the slot table and reinserts every id.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(MIN_SLOTS);
+        self.slots.clear();
+        self.slots.resize(len, EMPTY);
+        for i in 0..self.len() {
+            let id = cast::index_u32(i);
+            let slot = self.free_slot(fnv1a(self.path(id)));
+            self.slots[slot] = id;
+        }
+    }
+}
+
+/// 64-bit FNV-1a over the bytes of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// One parsed access-log line.
@@ -85,7 +183,8 @@ pub struct LogEntry {
     /// Response size in bytes, when reported.
     pub bytes: Option<u64>,
     /// Request time as seconds since the Unix epoch, when the line
-    /// carries a parseable `[dd/Mon/yyyy:hh:mm:ss ±zzzz]` field.
+    /// carries a parseable `[dd/Mon/yyyy:hh:mm:ss ±zzzz]` field with a
+    /// year in 0..=9999.
     pub timestamp_s: Option<i64>,
 }
 
@@ -105,18 +204,39 @@ pub struct LogEntry {
 /// follow it, which also keeps Combined Log Format (trailing quoted
 /// referrer/user-agent fields) parsing correctly.
 pub fn parse_line(line: &str) -> Option<LogEntry> {
+    let f = parse_fields(line)?;
+    Some(LogEntry {
+        path: f.path.to_string(),
+        method: f.method.to_string(),
+        status: f.status,
+        bytes: f.bytes,
+        timestamp_s: f.date.and_then(parse_clf_timestamp),
+    })
+}
+
+/// One line's fields, borrowed from the line.
+#[derive(Debug)]
+struct Fields<'a> {
+    method: &'a str,
+    path: &'a str,
+    status: u16,
+    bytes: Option<u64>,
+    /// The date field's text between the brackets, unparsed.
+    date: Option<&'a str>,
+}
+
+/// The parser behind [`parse_line`], [`parse_log`] and [`ClfStream`].
+fn parse_fields(line: &str) -> Option<Fields<'_>> {
     let line = line.trim();
     if line.is_empty() {
         return None;
     }
     let (quote_start, quote_end) = request_span(line)?;
-    let request = &line[quote_start + 1..quote_end];
-    let mut req_parts = request.split_whitespace();
-    let method = req_parts.next()?.to_string();
-    let path = req_parts.next()?.to_string();
+    let mut req_parts = line[quote_start + 1..quote_end].split_whitespace();
+    let method = req_parts.next()?;
+    let path = req_parts.next()?;
 
-    let tail = line[quote_end + 1..].trim();
-    let mut tail_parts = tail.split_whitespace();
+    let mut tail_parts = line[quote_end + 1..].split_whitespace();
     let status: u16 = tail_parts.next()?.parse().ok()?;
     let bytes = match tail_parts.next() {
         Some("-") | None => None,
@@ -124,17 +244,16 @@ pub fn parse_line(line: &str) -> Option<LogEntry> {
     };
     // The date field is the bracketed span nearest the request quote
     // (ident/authuser are client-supplied and may contain stray '[').
-    let timestamp_s = line[..quote_start].rfind('[').and_then(|i| {
+    let date = line[..quote_start].rfind('[').and_then(|i| {
         let rest = &line[i + 1..quote_start];
-        let end = rest.find(']')?;
-        parse_clf_timestamp(&rest[..end])
+        rest.find(']').map(|end| &rest[..end])
     });
-    Some(LogEntry {
-        path,
+    Some(Fields {
         method,
+        path,
         status,
         bytes,
-        timestamp_s,
+        date,
     })
 }
 
@@ -182,7 +301,10 @@ fn parse_zone(zone: &str) -> Option<i64> {
 
 /// Parses a CLF date field body (`dd/Mon/yyyy:hh:mm:ss ±zzzz`, without
 /// the brackets) into seconds since the Unix epoch. Returns `None` for
-/// anything that does not match.
+/// anything that does not match, including a year outside 0..=9999 and
+/// a negative time of day: every value it returns is then within ±2³⁸ s
+/// of the epoch, so no arithmetic on it, here or in [`ClfStream`], can
+/// overflow or round.
 fn parse_clf_timestamp(s: &str) -> Option<i64> {
     let (date_time, zone) = s.trim().split_once(' ')?;
     let mut dmy = date_time.splitn(3, '/');
@@ -193,7 +315,13 @@ fn parse_clf_timestamp(s: &str) -> Option<i64> {
     let hh: i64 = hms.next()?.parse().ok()?;
     let mm: i64 = hms.next()?.parse().ok()?;
     let ss: i64 = hms.next()?.parse().ok()?;
-    if hms.next().is_some() || !(1..=31).contains(&day) || hh > 23 || mm > 59 || ss > 60 {
+    if hms.next().is_some()
+        || !(1..=31).contains(&day)
+        || !(0..=9999).contains(&year)
+        || !(0..=23).contains(&hh)
+        || !(0..=59).contains(&mm)
+        || !(0..=60).contains(&ss)
+    {
         return None;
     }
     let offset = parse_zone(zone)?;
@@ -245,20 +373,12 @@ pub fn parse_log(name: &str, text: &str) -> Trace {
     let mut sizes_kb: Vec<f64> = Vec::new();
     let mut requests: Vec<FileId> = Vec::new();
 
-    for line in text.lines() {
-        let Some(entry) = parse_line(line) else {
+    for fields in text.lines().filter_map(parse_fields) {
+        let Some(bytes) = kept_bytes(&fields) else {
             continue;
         };
-        let Some(bytes) = kept_bytes(&entry) else {
-            continue;
-        };
-        let kb = cast::exact_f64(bytes) / 1024.0;
-        let id = interner.intern(&entry.path);
-        if id.index() == sizes_kb.len() {
-            sizes_kb.push(kb);
-        } else {
-            sizes_kb[id.index()] = sizes_kb[id.index()].max(kb);
-        }
+        let id = interner.intern(fields.path);
+        merge_size(&mut sizes_kb, id, bytes);
         requests.push(id);
     }
     Trace::new(name, FileSet::new(sizes_kb), requests)
@@ -266,14 +386,26 @@ pub fn parse_log(name: &str, text: &str) -> Trace {
 
 /// The Section 5.1 keep-filter shared by [`parse_log`] and
 /// [`ClfStream`]: successful `GET`s with a reported, positive size.
-/// Returns the transfer size in bytes for kept entries.
-fn kept_bytes(entry: &LogEntry) -> Option<u64> {
-    if entry.method != "GET" || entry.status != 200 {
+/// Returns the transfer size in bytes for kept entries. A size above
+/// 2⁵³ bytes (8 PiB) is no real transfer and is dropped like a missing
+/// one, so every kept size converts to `f64` exactly.
+fn kept_bytes(fields: &Fields<'_>) -> Option<u64> {
+    if fields.method != "GET" || fields.status != 200 {
         return None;
     }
-    match entry.bytes {
-        Some(b) if b > 0 => Some(b),
-        _ => None,
+    fields
+        .bytes
+        .filter(|&b| (1..=cast::MAX_EXACT_F64).contains(&b))
+}
+
+/// Records a kept transfer of `bytes` for `id` in a per-file size table:
+/// a new id appends its size, a known one keeps the largest reported.
+fn merge_size(sizes_kb: &mut Vec<f64>, id: FileId, bytes: u64) {
+    let kb = cast::exact_f64(bytes) / 1024.0;
+    if id.index() == sizes_kb.len() {
+        sizes_kb.push(kb);
+    } else {
+        sizes_kb[id.index()] = sizes_kb[id.index()].max(kb);
     }
 }
 
@@ -284,7 +416,8 @@ pub struct ClfStreamStats {
     pub lines: u64,
     /// Lines that passed parsing and the Section 5.1 keep-filter.
     pub kept: u64,
-    /// Lines dropped: unparseable, non-`GET`, non-200, or sizeless.
+    /// Lines dropped: not UTF-8, unparseable, non-`GET`, non-200, or
+    /// sizeless.
     pub dropped: u64,
     /// Kept lines whose timestamp ran backwards and was clamped to the
     /// previous arrival time (log writers interleave buffered workers).
@@ -318,14 +451,19 @@ pub struct ClfRecord {
 /// the resident footprint for tests to pin). Timestamps are parsed from
 /// the CLF date field, rebased to the first kept entry, and clamped
 /// monotone; a truncated final line (log mid-write) is dropped and
-/// flagged rather than half-parsed.
+/// flagged rather than half-parsed, and a line that is not UTF-8 is
+/// counted as dropped without ending the stream.
 #[derive(Debug)]
 pub struct ClfStream<R> {
     reader: R,
     interner: FileInterner,
     sizes_kb: Vec<f64>,
-    path_bytes: usize,
-    line: String,
+    line: Vec<u8>,
+    /// The last date text parsed and its value. CLF dates have
+    /// one-second resolution, so runs of lines share one; the empty
+    /// initial text is consistent too, since it parses to `None`.
+    date: String,
+    date_ts: Option<i64>,
     base_ts_s: Option<i64>,
     last_at_s: f64,
     stats: ClfStreamStats,
@@ -338,8 +476,9 @@ impl<R: BufRead> ClfStream<R> {
             reader,
             interner: FileInterner::new(),
             sizes_kb: Vec::new(),
-            path_bytes: 0,
-            line: String::new(),
+            line: Vec::new(),
+            date: String::new(),
+            date_ts: None,
             base_ts_s: None,
             last_at_s: 0.0,
             stats: ClfStreamStats::default(),
@@ -352,11 +491,10 @@ impl<R: BufRead> ClfStream<R> {
     pub fn next_record(&mut self) -> io::Result<Option<ClfRecord>> {
         loop {
             self.line.clear();
-            let n = self.reader.read_line(&mut self.line)?;
-            if n == 0 {
+            if self.reader.read_until(b'\n', &mut self.line)? == 0 {
                 return Ok(None);
             }
-            if !self.line.ends_with('\n') {
+            if self.line.last() != Some(&b'\n') {
                 // Final line with no terminator: the writer is mid-line
                 // (or the file was cut). Parsing the fragment would
                 // fabricate a request from half a record.
@@ -364,14 +502,11 @@ impl<R: BufRead> ClfStream<R> {
                 return Ok(None);
             }
             self.stats.lines += 1;
-            let Some(file) = parse_line(&self.line).and_then(|e| {
-                let b = kept_bytes(&e)?;
-                self.note_arrival(e.timestamp_s);
-                Some(self.intern(&e.path, cast::exact_f64(b) / 1024.0))
-            }) else {
+            let Some((file, timestamp_s)) = self.keep_line() else {
                 self.stats.dropped += 1;
                 continue;
             };
+            self.note_arrival(timestamp_s);
             self.stats.kept += 1;
             return Ok(Some(ClfRecord {
                 file,
@@ -379,6 +514,22 @@ impl<R: BufRead> ClfStream<R> {
                 at_s: self.last_at_s,
             }));
         }
+    }
+
+    /// Parses the buffered line. If it passes the keep-filter, interns
+    /// its path, merges its size and returns the file with the line's
+    /// timestamp; `None` means the line is dropped.
+    fn keep_line(&mut self) -> Option<(FileId, Option<i64>)> {
+        let fields = parse_fields(std::str::from_utf8(&self.line).ok()?)?;
+        let bytes = kept_bytes(&fields)?;
+        let file = self.interner.intern(fields.path);
+        merge_size(&mut self.sizes_kb, file, bytes);
+        if let Some(date) = fields.date.filter(|&d| d != self.date) {
+            self.date.clear();
+            self.date.push_str(date);
+            self.date_ts = parse_clf_timestamp(date);
+        }
+        Some((file, fields.date.and(self.date_ts)))
     }
 
     /// Folds `timestamp_s` into the monotone arrival clock.
@@ -389,7 +540,9 @@ impl<R: BufRead> ClfStream<R> {
                 self.last_at_s = 0.0;
             }
             (Some(ts), Some(base)) => {
-                let at_s = f64::from(cast::small_i32(ts.abs_diff(base)));
+                // Parsed timestamps lie within ±2³⁸ s of the epoch, so the
+                // difference is exact in `f64`.
+                let at_s = cast::exact_f64(ts.abs_diff(base));
                 let at_s = if ts < base { -at_s } else { at_s };
                 if at_s < self.last_at_s {
                     self.stats.out_of_order += 1;
@@ -399,19 +552,6 @@ impl<R: BufRead> ClfStream<R> {
             }
             (None, _) => self.stats.missing_timestamp += 1,
         }
-    }
-
-    /// Interns `path`, growing or max-merging the size table, and
-    /// returns its dense id.
-    fn intern(&mut self, path: &str, kb: f64) -> FileId {
-        let id = self.interner.intern(path);
-        if id.index() == self.sizes_kb.len() {
-            self.sizes_kb.push(kb);
-            self.path_bytes += path.len();
-        } else {
-            self.sizes_kb[id.index()] = self.sizes_kb[id.index()].max(kb);
-        }
-        id
     }
 
     /// Largest size seen per file in KB, indexed by dense file id.
@@ -429,15 +569,16 @@ impl<R: BufRead> ClfStream<R> {
         self.stats
     }
 
-    /// Approximate resident state in bytes: the line buffer plus the
-    /// per-distinct-file tables. Deliberately excludes the reader so
-    /// tests can assert the *stream's* footprint stays O(distinct
-    /// files) on logs far larger than it.
+    /// Resident state in bytes, by capacity: the line and date buffers
+    /// plus the per-distinct-file tables (the interner's slots, path
+    /// arena and offsets, and the sizes). Deliberately excludes the
+    /// reader so tests can assert the *stream's* footprint stays
+    /// O(distinct files) on logs far larger than it.
     pub fn state_bytes(&self) -> usize {
         self.line.capacity()
+            + self.date.capacity()
             + self.sizes_kb.capacity() * std::mem::size_of::<f64>()
-            + self.path_bytes
-            + self.interner.len() * std::mem::size_of::<(usize, FileId)>()
+            + self.interner.heap_bytes()
     }
 }
 
@@ -562,6 +703,7 @@ h - - [d] "GET /big.iso HTTP/1.0" 200 2048
     fn interner_hands_out_dense_first_seen_ids() {
         let mut i = FileInterner::new();
         assert!(i.is_empty());
+        assert_eq!(i.heap_bytes(), 0, "new() allocates nothing");
         let a = i.intern("/a.html");
         let b = i.intern("/b.html");
         assert_eq!(i.intern("/a.html"), a, "re-interning is stable");
@@ -656,6 +798,79 @@ h - - [d] "GET /big.iso HTTP/1.0" 200 2048
         // entries resume from the true clock.
         assert_eq!(at, vec![0.0, 0.0, 4.0]);
         assert_eq!(s.stats().out_of_order, 1);
+    }
+
+    #[test]
+    fn dates_a_century_apart_rebase_exactly() {
+        // Regression: the offset went through an `i32`, which panicked
+        // past 68 years in debug builds and clamped the line to 0 s as
+        // out of order in release builds.
+        let log = "h - - [01/Jan/1900:00:00:00 +0000] \"GET /a HTTP/1.0\" 200 5\n\
+                   h - - [01/Jan/2000:00:00:00 +0000] \"GET /b HTTP/1.0\" 200 5\n";
+        let mut s = ClfStream::new(log.as_bytes());
+        assert_eq!(s.next_record().unwrap().unwrap().at_s, 0.0);
+        // 36 524 days: 100 years, 24 of them leap years.
+        assert_eq!(s.next_record().unwrap().unwrap().at_s, 3_155_673_600.0);
+        assert_eq!(s.stats().out_of_order, 0);
+    }
+
+    #[test]
+    fn out_of_range_dates_count_as_missing_timestamps() {
+        // Regression: these overflowed the days-from-civil arithmetic (a
+        // panic in debug builds, a garbage time in release builds).
+        for date in [
+            "01/Jan/99999999999999:00:00:00 +0000",
+            "01/Jan/10000:00:00:00 +0000",
+            "01/Jan/-1:00:00:00 +0000",
+            "01/Jan/2000:-9223372036854775808:00:00 +0000",
+            "01/Jan/2000:00:-1:00 +0000",
+        ] {
+            let line = format!("h - - [{date}] \"GET /a HTTP/1.0\" 200 5\n");
+            assert_eq!(parse_line(&line).unwrap().timestamp_s, None, "{date}");
+            let mut s = ClfStream::new(line.as_bytes());
+            assert!(s.next_record().unwrap().is_some(), "{date}");
+            assert_eq!(s.stats().missing_timestamp, 1, "{date}");
+        }
+        assert_eq!(
+            parse_clf_timestamp("01/Jan/0000:00:00:00 +0000"),
+            Some(-62_167_219_200)
+        );
+        assert_eq!(
+            parse_clf_timestamp("31/Dec/9999:23:59:59 +0000"),
+            Some(253_402_300_799)
+        );
+    }
+
+    #[test]
+    fn non_utf8_line_is_dropped_and_the_stream_continues() {
+        // Regression: `read_line` failed on the bad line, which ended the
+        // stream there, uncounted, and the lines after it were never read.
+        let log = b"h - - [01/Jan/2000:10:00:00 +0000] \"GET /a HTTP/1.0\" 200 5\n\
+                    h - - [01/Jan/2000:10:00:01 +0000] \"GET /\xff HTTP/1.0\" 200 5\n\
+                    h - - [01/Jan/2000:10:00:02 +0000] \"GET /b HTTP/1.0\" 200 5\n";
+        let mut s = ClfStream::new(&log[..]);
+        let mut got = Vec::new();
+        while let Some(r) = s.next_record().unwrap() {
+            got.push((r.file.index(), r.at_s));
+        }
+        assert_eq!(got, vec![(0, 0.0), (1, 2.0)]);
+        let st = s.stats();
+        assert_eq!((st.lines, st.kept, st.dropped), (3, 2, 1));
+    }
+
+    #[test]
+    fn sizes_beyond_exact_f64_are_dropped() {
+        // Regression: a size above 2^53 bytes failed the exact-conversion
+        // check, a panic in debug builds.
+        let log = "h - - [d] \"GET /a HTTP/1.0\" 200 18446744073709551615\n\
+                   h - - [d] \"GET /a HTTP/1.0\" 200 9007199254740993\n\
+                   h - - [d] \"GET /a HTTP/1.0\" 200 9007199254740992\n";
+        let t = parse_log("huge", log);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.files().size_kb(0), 8_796_093_022_208.0);
+        let mut s = ClfStream::new(log.as_bytes());
+        while s.next_record().unwrap().is_some() {}
+        assert_eq!((s.stats().kept, s.stats().dropped), (1, 2));
     }
 
     #[test]
