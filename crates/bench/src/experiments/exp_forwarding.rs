@@ -3,18 +3,18 @@
 //! L2S forwarding at least ~15 % fewer requests up to 4 nodes and ~8–25 %
 //! fewer at 16 nodes depending on the trace.
 
-use crate::{paper_config, paper_trace, sweep, PAPER_NODE_COUNTS};
+use crate::{paper_config, paper_trace, RunCtx, PAPER_NODE_COUNTS};
 use l2s::PolicyKind;
 use l2s_trace::TraceSpec;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let policies = [PolicyKind::L2s, PolicyKind::Lard];
     let mut table = CsvTable::new(["trace", "nodes", "policy", "forwarded_fraction"]);
     for spec in TraceSpec::paper_presets() {
         let trace = paper_trace(&spec);
-        let cells = sweep(&trace, &PAPER_NODE_COUNTS, &policies, paper_config);
+        let cells = ctx.sweep(&trace, &PAPER_NODE_COUNTS, &policies, paper_config);
         println!("\n{} trace — forwarded requests (%):", spec.name);
         println!(
             "{:>6} {:>10} {:>10} {:>12}",
@@ -45,10 +45,7 @@ pub fn run() -> Result<(), String> {
             }
         }
     }
-    let path = results_dir().join("exp_forwarding.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    let path = ctx.write_csv(&table, "exp_forwarding.csv")?;
     println!(
         "\n(paper: LARD forwards 100%; L2S forwards >=15% fewer up to 4 nodes and \
          ~8-25% fewer at 16 nodes)"

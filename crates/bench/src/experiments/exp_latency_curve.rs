@@ -16,15 +16,15 @@
 //! and the collapse locks in. With admission control (the closed loop)
 //! the same configuration sustains more than twice the load.
 
-use crate::{paper_trace, run_cells_parallel};
+use crate::{paper_trace, RunCtx};
 use l2s::PolicyKind;
 use l2s_model::{Derived, ModelParams, QueueModel};
 use l2s_sim::{simulate, ArrivalMode, SimConfig};
 use l2s_trace::{TraceSpec, TraceStats};
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let spec = TraceSpec::calgary();
     let trace = paper_trace(&spec);
     let stats = TraceStats::compute(&trace);
@@ -34,8 +34,8 @@ pub fn run() -> Result<(), String> {
     // for the model's hit rate, L2S for Part 2's capacity reference) —
     // two independent simulations, run in parallel.
     let mut closed = SimConfig::paper_default(nodes);
-    closed.max_requests = Some(100_000);
-    let calibration = run_cells_parallel(2, |i| {
+    closed.max_requests = Some(ctx.capped(100_000));
+    let calibration = ctx.run_cells(2, |i| {
         let kind = [PolicyKind::Traditional, PolicyKind::L2s][i];
         simulate(&closed, kind, &trace)
     });
@@ -67,12 +67,12 @@ pub fn run() -> Result<(), String> {
 
     let mut table = CsvTable::new(["server", "load_fraction", "rate_rps", "sim_ms", "model_ms"]);
     let part1_loads = [0.2, 0.4, 0.6, 0.8, 0.9];
-    let part1 = run_cells_parallel(part1_loads.len(), |i| {
+    let part1 = ctx.run_cells(part1_loads.len(), |i| {
         let mut cfg = SimConfig::paper_default(nodes);
         cfg.arrivals = ArrivalMode::Poisson {
             rate_rps: bound * part1_loads[i],
         };
-        cfg.max_requests = Some(80_000);
+        cfg.max_requests = Some(ctx.capped(80_000));
         simulate(&cfg, PolicyKind::Traditional, &trace)
     });
     for (load, report) in part1_loads.into_iter().zip(&part1) {
@@ -103,12 +103,12 @@ pub fn run() -> Result<(), String> {
         "load", "rate (r/s)", "thr (r/s)", "mean resp", "miss"
     );
     let part2_loads = [0.2, 0.4, 0.6, 0.8];
-    let part2 = run_cells_parallel(part2_loads.len(), |i| {
+    let part2 = ctx.run_cells(part2_loads.len(), |i| {
         let mut cfg = SimConfig::paper_default(nodes);
         cfg.arrivals = ArrivalMode::Poisson {
             rate_rps: l2s_closed.throughput_rps * part2_loads[i],
         };
-        cfg.max_requests = Some(80_000);
+        cfg.max_requests = Some(ctx.capped(80_000));
         simulate(&cfg, PolicyKind::L2s, &trace)
     });
     for (load, report) in part2_loads.into_iter().zip(&part2) {
@@ -130,10 +130,7 @@ pub fn run() -> Result<(), String> {
         ]);
     }
 
-    let path = results_dir().join("exp_latency_curve.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    let path = ctx.write_csv(&table, "exp_latency_curve.csv")?;
     println!(
         "\n(Part 1 expected: simulated and modeled curves grow convexly together, sim at \
          or below the\n exponential model. Part 2 expected: L2S tracks offered load at \

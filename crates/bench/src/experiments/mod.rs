@@ -1,11 +1,14 @@
-//! The experiment bodies behind every figure/table binary.
+//! The experiment bodies behind the figure suite.
 //!
-//! Each submodule owns one experiment as a `run() -> Result<(), String>`
-//! function; the `src/bin/` wrappers call them through
-//! [`crate::run_experiment`], and the `all_figures` binary runs the
-//! whole suite in-process via [`ALL`] so the memoized traces of
+//! Each submodule owns one experiment as a
+//! `run(&RunCtx) -> Result<(), String>` function. [`ALL`] lists them
+//! all; the `all_figures` binary runs the list (or its `--only`
+//! selection) in one process, so the memoized traces of
 //! [`crate::paper_trace`] are generated once per spec instead of once
-//! per process.
+//! per experiment.
+
+use crate::{run_paper_figure, RunCtx};
+use l2s_trace::TraceSpec;
 
 pub mod exp_cache_policy;
 pub mod exp_dfs;
@@ -29,29 +32,32 @@ pub mod fig05_throughput_increase;
 pub mod table2_traces;
 
 /// Figure 7: throughput vs cluster size for the Calgary trace.
-pub fn fig07_calgary() -> Result<(), String> {
-    crate::run_paper_figure("fig07_calgary", &l2s_trace::TraceSpec::calgary())
+pub fn fig07_calgary(ctx: &RunCtx) -> Result<(), String> {
+    run_paper_figure(ctx, "fig07_calgary", &TraceSpec::calgary())
 }
 
 /// Figure 8: throughput vs cluster size for the Clarknet trace.
-pub fn fig08_clarknet() -> Result<(), String> {
-    crate::run_paper_figure("fig08_clarknet", &l2s_trace::TraceSpec::clarknet())
+pub fn fig08_clarknet(ctx: &RunCtx) -> Result<(), String> {
+    run_paper_figure(ctx, "fig08_clarknet", &TraceSpec::clarknet())
 }
 
 /// Figure 9: throughput vs cluster size for the NASA trace.
-pub fn fig09_nasa() -> Result<(), String> {
-    crate::run_paper_figure("fig09_nasa", &l2s_trace::TraceSpec::nasa())
+pub fn fig09_nasa(ctx: &RunCtx) -> Result<(), String> {
+    run_paper_figure(ctx, "fig09_nasa", &TraceSpec::nasa())
 }
 
 /// Figure 10: throughput vs cluster size for the Rutgers trace.
-pub fn fig10_rutgers() -> Result<(), String> {
-    crate::run_paper_figure("fig10_rutgers", &l2s_trace::TraceSpec::rutgers())
+pub fn fig10_rutgers(ctx: &RunCtx) -> Result<(), String> {
+    run_paper_figure(ctx, "fig10_rutgers", &TraceSpec::rutgers())
 }
 
-/// Every experiment, in the order the historical `run_experiments.sh`
-/// ran them: model studies first, then the four headline figures, then
-/// the simulator-level studies.
-pub const ALL: &[(&str, fn() -> Result<(), String>)] = &[
+/// One experiment: its name (the `all_figures --only` argument) and
+/// its body.
+pub type Entry = (&'static str, fn(&RunCtx) -> Result<(), String>);
+
+/// Every experiment, in suite order: model studies first, then the
+/// four headline figures, then the simulator-level studies.
+pub const ALL: &[Entry] = &[
     ("fig03_oblivious_surface", fig03_oblivious_surface::run),
     ("fig04_conscious_surface", fig04_conscious_surface::run),
     ("fig05_throughput_increase", fig05_throughput_increase::run),

@@ -1,12 +1,12 @@
 //! Table 2: characteristics of the four WWW traces — the paper's values
 //! next to what the synthetic generator actually produces.
 
-use crate::{paper_trace, run_cells_parallel, trace_seed};
+use crate::{paper_trace, trace_seed, RunCtx};
 use l2s_trace::{TraceSpec, TraceStats};
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 
 /// Runs the experiment; errors are I/O or model failures.
-pub fn run() -> Result<(), String> {
+pub fn run(ctx: &RunCtx) -> Result<(), String> {
     let mut table = CsvTable::new([
         "trace",
         "num_files",
@@ -39,7 +39,7 @@ pub fn run() -> Result<(), String> {
     // concurrently, and index-ordering keeps the table rows in preset
     // order.
     let specs = TraceSpec::paper_presets();
-    let all_stats = run_cells_parallel(specs.len(), |i| {
+    let all_stats = ctx.run_cells(specs.len(), |i| {
         TraceStats::compute(&paper_trace(&specs[i]))
     });
     for (spec, stats) in specs.iter().zip(&all_stats) {
@@ -71,10 +71,7 @@ pub fn run() -> Result<(), String> {
         let _ = trace_seed(spec);
     }
 
-    let path = results_dir().join("table2_traces.csv");
-    table
-        .write_to(&path)
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    let path = ctx.write_csv(&table, "table2_traces.csv")?;
     println!(
         "\n(paper Table 2: Calgary 8397/42.9/567895/19.7/1.08, Clarknet \
          35885/11.6/3053525/11.9/0.78,\n NASA 5500/53.7/3147719/47.0/0.91, \

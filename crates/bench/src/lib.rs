@@ -1,35 +1,39 @@
-//! Experiment harness shared by the figure/table binaries.
+//! Experiment harness behind the `all_figures` binary.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index); the actual experiment
-//! bodies live in [`experiments`], so the `all_figures` binary can run
-//! every experiment in one process — sharing memoized traces — while
-//! the per-figure binaries stay available for selective reruns. This
-//! library holds the common machinery: the deterministic parallel cell
-//! executor ([`run_cells_parallel`]), the analytic "model" line of
-//! Figures 7–10, scale control, and output helpers.
+//! Each experiment in [`experiments::ALL`] regenerates one table or
+//! figure of the paper (see DESIGN.md's experiment index). `all_figures`
+//! runs the whole suite in one process, sharing memoized traces, and
+//! `all_figures --only <name>` reruns a selection. This library holds
+//! the common machinery: the run context ([`RunCtx`]), the
+//! deterministic parallel cell executor ([`RunCtx::run_cells`]), the
+//! analytic "model" line of Figures 7–10, and output helpers.
+//!
+//! # Run context
+//!
+//! Every experiment takes a [`RunCtx`]: the worker count, the
+//! per-run request cap and the results directory. Library code never
+//! reads the process environment; `all_figures` builds the context once
+//! with [`RunCtx::from_env`], and tests build it as a struct literal, so
+//! two settings can run side by side in one test binary.
 //!
 //! # Parallel execution
 //!
 //! Every experiment decomposes into independent *cells* — one
 //! simulation (or model evaluation) per `(trace, policy, nodes, knob)`
-//! combination. [`run_cells_parallel`] fans cells across
-//! `min(workers, cells)` scoped threads and collects results **by cell
-//! index, never by completion order**, so every CSV and chart is
+//! combination. [`RunCtx::run_cells`] fans cells across
+//! `min(ctx.workers, cells)` scoped threads and collects results **by
+//! cell index, never by completion order**, so every CSV and chart is
 //! byte-identical to a sequential run regardless of worker count or
-//! scheduling. `L2S_WORKERS` overrides the worker count (default: all
-//! hardware threads); `L2S_WORKERS=1` forces the sequential inline
-//! path, which the perf baseline uses for comparable measurements.
+//! scheduling.
 //!
 //! # Scale control
 //!
 //! By default the harness runs a *quick* configuration (full file
-//! populations, request streams capped at 150 000) so every figure
-//! regenerates in seconds. Set `L2S_BENCH_FULL=1` to simulate the
+//! populations, request streams capped at [`RunCtx::QUICK_CAP`]) so
+//! every figure regenerates in seconds. `cap: None` simulates the
 //! complete Table 2 request counts (up to 3.1 M requests per run), which
-//! reproduces the paper at full fidelity, or `L2S_BENCH_CAP=<n>` to
-//! shrink the per-run request cap further (test suites use this).
-//! `L2S_RESULTS_DIR` redirects CSV output (default `results/`).
+//! reproduces the paper at full fidelity; a smaller cap shrinks every
+//! run further (the determinism test uses 2000).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,8 +46,9 @@ use l2s_sim::{simulate, SimConfig, SimReport};
 use l2s_trace::{Trace, TraceSpec, TraceStats};
 use l2s_util::ascii::{line_chart, Series};
 use l2s_util::cast;
-use l2s_util::csv::{results_dir, CsvTable};
+use l2s_util::csv::CsvTable;
 use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -54,56 +59,78 @@ pub const PAPER_NODE_COUNTS: [usize; 6] = [1, 2, 4, 8, 12, 16];
 pub const PAPER_POLICIES: [PolicyKind; 3] =
     [PolicyKind::L2s, PolicyKind::Lard, PolicyKind::Traditional];
 
-/// Whether full-fidelity mode was requested via `L2S_BENCH_FULL=1`.
-pub fn full_fidelity() -> bool {
-    std::env::var("L2S_BENCH_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+/// The settings of one figure-suite run, passed explicitly to every
+/// experiment. No figure depends on `workers`: the executor orders
+/// results by cell index, so it only trades wall-clock for cores.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunCtx {
+    /// Worker threads for the parallel cell executor (1 runs inline).
+    pub workers: usize,
+    /// Request cap per simulation run; `None` is full fidelity (the
+    /// complete Table 2 request counts).
+    pub cap: Option<usize>,
+    /// Directory the CSV outputs are written to.
+    pub results_dir: PathBuf,
 }
 
-/// Request cap for simulation runs (`None` in full-fidelity mode).
-///
-/// `L2S_BENCH_CAP=<n>` overrides the quick-mode default of 150 000 —
-/// the in-tree determinism tests use a small cap so they finish in
-/// seconds. `L2S_BENCH_FULL=1` wins over the cap.
-pub fn request_cap() -> Option<usize> {
-    if full_fidelity() {
-        return None;
+impl RunCtx {
+    /// The quick-mode request cap.
+    pub const QUICK_CAP: usize = 150_000;
+
+    /// Builds the context from environment variables, read through
+    /// `lookup` (the `all_figures` binary passes `std::env::var_os`):
+    ///
+    /// * `L2S_WORKERS` — worker count, capped at the core count
+    ///   (threads past it only add context switches to CPU-bound
+    ///   cells); default all cores;
+    /// * `L2S_BENCH_CAP` — request cap, default [`Self::QUICK_CAP`];
+    /// * `L2S_BENCH_FULL=1` — full fidelity, which beats the cap;
+    /// * `L2S_RESULTS_DIR` — output directory, default `results`.
+    ///
+    /// A zero or unparsable count is ignored.
+    pub fn from_env(lookup: impl Fn(&str) -> Option<OsString>) -> Self {
+        let count = |key: &str| {
+            lookup(key)
+                .and_then(|v| v.to_str().and_then(|v| v.trim().parse::<usize>().ok()))
+                .filter(|&n| n >= 1)
+        };
+        let cores = l2s_util::pool::available_workers();
+        let full = lookup("L2S_BENCH_FULL").is_some_and(|v| v == "1");
+        Self {
+            workers: count("L2S_WORKERS").map_or(cores, |n| n.min(cores)),
+            cap: (!full).then(|| count("L2S_BENCH_CAP").unwrap_or(Self::QUICK_CAP)),
+            results_dir: lookup("L2S_RESULTS_DIR").map_or_else(|| "results".into(), PathBuf::from),
+        }
     }
-    let cap = std::env::var("L2S_BENCH_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(150_000);
-    Some(cap)
-}
 
-/// Worker count for parallel cell execution: `$L2S_WORKERS`, defaulting
-/// to all hardware threads. See [`l2s_util::pool::workers_from_env`].
-pub fn workers_from_env() -> usize {
-    l2s_util::pool::workers_from_env()
-}
+    /// `n` requests, or the cap if it is smaller: for experiments whose
+    /// own request budget sits below the quick-mode cap.
+    pub fn capped(&self, n: usize) -> usize {
+        self.cap.map_or(n, |c| c.min(n))
+    }
 
-/// Runs `cells` independent jobs across [`workers_from_env`] threads and
-/// returns their results ordered by cell index — the determinism
-/// contract every experiment relies on: output order depends only on how
-/// the experiment *enumerates* its cells, never on completion order.
-pub fn run_cells_parallel<T, F>(cells: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_cells_with_workers(workers_from_env(), cells, run)
-}
+    /// Writes `table` as `name` under the results directory and returns
+    /// the path written.
+    pub fn write_csv(&self, table: &CsvTable, name: &str) -> Result<PathBuf, String> {
+        let path = self.results_dir.join(name);
+        table
+            .write_to(&path)
+            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        Ok(path)
+    }
 
-/// [`run_cells_parallel`] with an explicit worker count (clamped to
-/// `[1, cells]`; 1 runs inline on the calling thread).
-pub fn run_cells_with_workers<T, F>(workers: usize, cells: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    l2s_util::pool::run_indexed(workers, cells, run)
+    /// Runs `cells` independent jobs across `workers` threads and
+    /// returns their results ordered by cell index — the determinism
+    /// contract every experiment relies on: output order depends only on
+    /// how the experiment *enumerates* its cells, never on completion
+    /// order.
+    pub fn run_cells<T, F>(&self, cells: usize, run: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        l2s_util::pool::run_indexed(self.workers, cells, run)
+    }
 }
 
 /// Deterministic per-trace generation seed.
@@ -169,49 +196,53 @@ pub struct SweepCell {
     pub report: SimReport,
 }
 
-/// Runs `trace` under every `(nodes, policy)` combination in parallel
-/// and returns the cells sorted by `(nodes, policy index)`.
-///
-/// `configure` customizes the base [`SimConfig`] per cluster size (cache
-/// size overrides, sensitivity knobs, ...).
-pub fn sweep<F>(
-    trace: &Trace,
-    node_counts: &[usize],
-    policies: &[PolicyKind],
-    configure: F,
-) -> Vec<SweepCell>
-where
-    F: Fn(usize) -> SimConfig + Sync,
-{
-    let jobs: Vec<(usize, PolicyKind)> = node_counts
-        .iter()
-        .flat_map(|&n| policies.iter().map(move |&p| (n, p)))
-        .collect();
-    // Index-ordered collection: cell i is always jobs[i]'s result, so the
-    // output is identical for every worker count.
-    let mut cells = run_cells_parallel(jobs.len(), |i| {
-        let (n, policy) = jobs[i];
-        let config = configure(n);
-        let report = simulate(&config, policy, trace);
-        SweepCell {
-            nodes: n,
-            policy,
-            report,
-        }
-    });
-    // The enumeration above already emits (nodes, policy index) order for
-    // ascending node_counts; the sort keeps the documented contract even
-    // for unsorted caller input.
-    let order = |p: PolicyKind| policies.iter().position(|&q| q == p).unwrap_or(usize::MAX);
-    cells.sort_by_key(|c| (c.nodes, order(c.policy)));
-    cells
+impl RunCtx {
+    /// Runs `trace` under every `(nodes, policy)` combination in parallel
+    /// and returns the cells sorted by `(nodes, policy index)`.
+    ///
+    /// `configure` builds the [`SimConfig`] per cluster size: usually
+    /// [`paper_config`], or a closure over it for cache size overrides,
+    /// sensitivity knobs, ...
+    pub fn sweep<F>(
+        &self,
+        trace: &Trace,
+        node_counts: &[usize],
+        policies: &[PolicyKind],
+        configure: F,
+    ) -> Vec<SweepCell>
+    where
+        F: Fn(&RunCtx, usize) -> SimConfig + Sync,
+    {
+        let jobs: Vec<(usize, PolicyKind)> = node_counts
+            .iter()
+            .flat_map(|&n| policies.iter().map(move |&p| (n, p)))
+            .collect();
+        // Index-ordered collection: cell i is always jobs[i]'s result, so
+        // the output is identical for every worker count.
+        let mut cells = self.run_cells(jobs.len(), |i| {
+            let (n, policy) = jobs[i];
+            let config = configure(self, n);
+            let report = simulate(&config, policy, trace);
+            SweepCell {
+                nodes: n,
+                policy,
+                report,
+            }
+        });
+        // The enumeration above already emits (nodes, policy index) order
+        // for ascending node_counts; the sort keeps the documented
+        // contract even for unsorted caller input.
+        let order = |p: PolicyKind| policies.iter().position(|&q| q == p).unwrap_or(usize::MAX);
+        cells.sort_by_key(|c| (c.nodes, order(c.policy)));
+        cells
+    }
 }
 
 /// The default per-figure configuration: Section 5.1 parameters with the
-/// harness request cap applied.
-pub fn paper_config(nodes: usize) -> SimConfig {
+/// run's request cap applied.
+pub fn paper_config(ctx: &RunCtx, nodes: usize) -> SimConfig {
     SimConfig {
-        max_requests: request_cap(),
+        max_requests: ctx.cap,
         ..SimConfig::paper_default(nodes)
     }
 }
@@ -244,17 +275,6 @@ pub fn model_line(
             Ok((n, model.max_throughput_derived(&derived)))
         })
         .collect()
-}
-
-/// [`write_throughput_figure_to`] with the default results directory
-/// (`$L2S_RESULTS_DIR`, else `results/`).
-pub fn write_throughput_figure(
-    fig: &str,
-    spec: &TraceSpec,
-    cells: &[SweepCell],
-    model: &[(usize, f64)],
-) -> std::io::Result<(PathBuf, String)> {
-    write_throughput_figure_to(&results_dir(), fig, spec, cells, model)
 }
 
 /// Renders and writes one Figures 7–10 style experiment: simulated
@@ -315,13 +335,13 @@ pub fn write_throughput_figure_to(
 
 /// Runs one complete Figures 7–10 experiment (sweep + model line +
 /// outputs) and prints the chart plus the paper's headline comparisons.
-pub fn run_paper_figure(fig: &str, spec: &TraceSpec) -> Result<(), String> {
+pub fn run_paper_figure(ctx: &RunCtx, fig: &str, spec: &TraceSpec) -> Result<(), String> {
     println!(
         "== {fig}: {} trace ({} files, {} requests{}) ==",
         spec.name,
         spec.num_files,
         spec.num_requests,
-        if full_fidelity() {
+        if ctx.cap.is_none() {
             ", full fidelity"
         } else {
             ", quick mode (L2S_BENCH_FULL=1 for full)"
@@ -336,9 +356,9 @@ pub fn run_paper_figure(fig: &str, spec: &TraceSpec) -> Result<(), String> {
         stats.alpha,
         stats.working_set_kb / 1024.0
     );
-    let cells = sweep(&trace, &PAPER_NODE_COUNTS, &PAPER_POLICIES, paper_config);
-    let model = model_line(&stats, &PAPER_NODE_COUNTS, paper_config(1).cache_kb)?;
-    let (path, chart) = write_throughput_figure(fig, spec, &cells, &model)
+    let cells = ctx.sweep(&trace, &PAPER_NODE_COUNTS, &PAPER_POLICIES, paper_config);
+    let model = model_line(&stats, &PAPER_NODE_COUNTS, paper_config(ctx, 1).cache_kb)?;
+    let (path, chart) = write_throughput_figure_to(&ctx.results_dir, fig, spec, &cells, &model)
         .map_err(|e| format!("write {fig} outputs: {e}"))?;
     println!("{chart}");
 
@@ -387,53 +407,34 @@ pub fn extract_json_num(json: &str, key: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
-/// Binary entry-point shim: runs an experiment and turns an `Err` into
-/// a nonzero exit with the message on stderr. Keeps the `src/bin/`
-/// wrappers one line each.
-pub fn run_experiment(run: fn() -> Result<(), String>) {
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Runs every experiment in [`experiments::ALL`] in this process, in
-/// the same order as the historical `run_experiments.sh`, sharing the
-/// memoized traces. Stops at the first failure, naming the experiment.
-pub fn run_all_figures() -> Result<(), String> {
-    run_all_figures_timed().map(|_| ())
-}
-
-/// Wall-clock accounting for one full figure-suite run, recorded by
-/// [`run_all_figures_timed`] and written to `BENCH_suite.json` by the
+/// Wall-clock accounting for one figure-suite run, recorded by
+/// [`run_suite`] and written to `BENCH_suite.json` by the
 /// `all_figures` binary. Wall-clock here is measurement *about* the
 /// suite, not input *to* it — every simulated quantity still comes from
 /// the event queue, so timing cannot perturb any figure.
 #[derive(Clone, Debug)]
 pub struct SuiteTiming {
-    /// Worker threads the parallel executor used.
-    pub workers: usize,
     /// Total suite wall-clock in seconds.
     pub wall_s: f64,
     /// `(experiment name, wall-clock seconds)` in execution order.
     pub per_experiment: Vec<(String, f64)>,
 }
 
-/// [`run_all_figures`] with per-experiment wall-clock timing.
-pub fn run_all_figures_timed() -> Result<SuiteTiming, String> {
-    let workers = workers_from_env();
-    let total = experiments::ALL.len();
+/// Runs `experiments` (entries of [`experiments::ALL`]) in this
+/// process, in order, sharing the memoized traces, and times each one.
+/// Stops at the first failure, naming the experiment.
+pub fn run_suite(ctx: &RunCtx, experiments: &[experiments::Entry]) -> Result<SuiteTiming, String> {
+    let total = experiments.len();
     let suite_start = std::time::Instant::now();
     let mut per_experiment = Vec::with_capacity(total);
-    for (i, (name, run)) in experiments::ALL.iter().enumerate() {
+    for (i, (name, run)) in experiments.iter().enumerate() {
         println!("=== [{}/{total}] {name} ===", i + 1);
         let start = std::time::Instant::now();
-        run().map_err(|e| format!("{name}: {e}"))?;
+        run(ctx).map_err(|e| format!("{name}: {e}"))?;
         per_experiment.push((name.to_string(), start.elapsed().as_secs_f64()));
         println!();
     }
     Ok(SuiteTiming {
-        workers,
         wall_s: suite_start.elapsed().as_secs_f64(),
         per_experiment,
     })
@@ -442,6 +443,59 @@ pub fn run_all_figures_timed() -> Result<SuiteTiming, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ctx(workers: usize) -> RunCtx {
+        RunCtx {
+            workers,
+            cap: None,
+            results_dir: std::env::temp_dir(),
+        }
+    }
+
+    /// `RunCtx::from_env` over a fixed set of variables.
+    fn from_vars(vars: &[(&str, &str)]) -> RunCtx {
+        RunCtx::from_env(|key| {
+            vars.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| OsString::from(v))
+        })
+    }
+
+    #[test]
+    fn run_ctx_from_env_parses_each_setting() {
+        let cores = l2s_util::pool::available_workers();
+        let quick = RunCtx {
+            workers: cores,
+            cap: Some(RunCtx::QUICK_CAP),
+            results_dir: PathBuf::from("results"),
+        };
+        assert_eq!(from_vars(&[]), quick);
+        // A zero or unparsable count falls back to its default.
+        for bad in ["0", "abc", "", "-3"] {
+            let vars = [("L2S_BENCH_CAP", bad), ("L2S_WORKERS", bad)];
+            assert_eq!(from_vars(&vars), quick, "{bad:?}");
+        }
+        // Full fidelity (exactly "1") beats the cap.
+        let full = [("L2S_BENCH_FULL", "1"), ("L2S_BENCH_CAP", "2000")];
+        assert_eq!(from_vars(&full).cap, None);
+        let not_full = [("L2S_BENCH_FULL", "yes"), ("L2S_BENCH_CAP", " 2000 ")];
+        assert_eq!(from_vars(&not_full).cap, Some(2000));
+        // The worker count is capped at the core count.
+        assert_eq!(from_vars(&[("L2S_WORKERS", "100000")]).workers, cores);
+        assert_eq!(from_vars(&[("L2S_WORKERS", "1")]).workers, 1);
+        let dir = from_vars(&[("L2S_RESULTS_DIR", "out")]).results_dir;
+        assert_eq!(dir, PathBuf::from("out"));
+    }
+
+    #[test]
+    fn capped_takes_the_smaller_budget() {
+        let mut ctx = ctx(1);
+        assert_eq!(ctx.capped(80_000), 80_000);
+        ctx.cap = Some(RunCtx::QUICK_CAP);
+        assert_eq!(ctx.capped(80_000), 80_000);
+        ctx.cap = Some(2_000);
+        assert_eq!(ctx.capped(80_000), 2_000);
+    }
 
     #[test]
     fn seeds_are_stable_and_distinct() {
@@ -458,11 +512,11 @@ mod tests {
     #[test]
     fn sweep_covers_the_matrix() {
         let trace = TraceSpec::calgary().scaled(200, 3_000).generate(1);
-        let cells = sweep(
+        let cells = ctx(2).sweep(
             &trace,
             &[1, 2],
             &[PolicyKind::Traditional, PolicyKind::L2s],
-            |n| SimConfig::quick(n, 1_000.0),
+            |_, n| SimConfig::quick(n, 1_000.0),
         );
         assert_eq!(cells.len(), 4);
         assert_eq!(cells[0].nodes, 1);
@@ -475,15 +529,16 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_despite_parallelism() {
         let trace = TraceSpec::nasa().scaled(150, 2_000).generate(2);
-        let run = || {
-            sweep(&trace, &[1, 2, 4], &[PolicyKind::L2s], |n| {
-                SimConfig::quick(n, 800.0)
-            })
-            .iter()
-            .map(|c| c.report.throughput_rps)
-            .collect::<Vec<_>>()
+        let run = |workers| {
+            ctx(workers)
+                .sweep(&trace, &[1, 2, 4], &[PolicyKind::L2s], |_, n| {
+                    SimConfig::quick(n, 800.0)
+                })
+                .iter()
+                .map(|c| c.report.throughput_rps)
+                .collect::<Vec<_>>()
         };
-        assert_eq!(run(), run());
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
@@ -497,14 +552,11 @@ mod tests {
 
     #[test]
     fn figure_writer_emits_csv_and_chart() {
-        // The directory is threaded explicitly — mutating
-        // L2S_RESULTS_DIR here would race other tests in this binary,
-        // which run concurrently and read the same process environment.
         let dir = std::env::temp_dir().join("l2s-bench-test");
         std::fs::create_dir_all(&dir).unwrap();
         let spec = TraceSpec::calgary().scaled(200, 2_000);
         let trace = spec.generate(4);
-        let cells = sweep(&trace, &[1, 2], &PAPER_POLICIES, |n| {
+        let cells = ctx(2).sweep(&trace, &[1, 2], &PAPER_POLICIES, |_, n| {
             SimConfig::quick(n, 1_000.0)
         });
         let stats = TraceStats::compute(&trace);
@@ -524,9 +576,12 @@ mod tests {
         let dir = std::env::temp_dir().join("l2s-bench-test-missing-cell");
         let spec = TraceSpec::calgary().scaled(200, 2_000);
         let trace = spec.generate(4);
-        let cells = sweep(&trace, &[1], &[PolicyKind::L2s, PolicyKind::Lard], |n| {
-            SimConfig::quick(n, 1_000.0)
-        });
+        let cells = ctx(2).sweep(
+            &trace,
+            &[1],
+            &[PolicyKind::L2s, PolicyKind::Lard],
+            |_, n| SimConfig::quick(n, 1_000.0),
+        );
         let model = [(1, 1_000.0)];
         let err = write_throughput_figure_to(&dir, "figtest", &spec, &cells, &model)
             .expect_err("a missing traditional cell must not print as 0");

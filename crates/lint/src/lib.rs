@@ -21,6 +21,7 @@
 //! |----|----------|-------|--------|
 //! | `hash-iter` | deny | types: determinism crates; chains: workspace | no hash-container types in determinism crates; *anywhere*, no iteration adapters (`.keys()`, `.values()`, `.iter()`, …) or `for` loops on hash-bound receivers, matched through method chains |
 //! | `wall-clock` | deny | determinism crates | no `Instant`/`SystemTime`: simulation time comes from the event queue |
+//! | `env-read` | deny | determinism crates (library sources) | no `env::var`/`var_os`/`vars`/`set_var`/`remove_var`: settings arrive as arguments, and only a binary's `main` reads the environment |
 //! | `entropy` | deny | workspace | no `thread_rng`, `rand::random`, `from_entropy`, or `OsRng`: all randomness flows from explicit seeds |
 //! | `panic` | deny | library sources | no `.unwrap()`/`.expect()`/`panic!`-family in library code (binaries and tests exempt); use `Result` or `invariant!` |
 //! | `assert` | deny | library sources | no bare `assert!`/`assert_eq!`/`assert_ne!` outside tests; `debug_assert!` is fine |
@@ -79,6 +80,7 @@ pub const DETERMINISM_CRATES: &[&str] = &[
 pub const RULES: &[(&str, Severity)] = &[
     ("hash-iter", Severity::Deny),
     ("wall-clock", Severity::Deny),
+    ("env-read", Severity::Deny),
     ("entropy", Severity::Deny),
     ("panic", Severity::Deny),
     ("assert", Severity::Deny),
@@ -711,6 +713,43 @@ mod tests {
         let report = ws.lint();
         assert!(rules_of(&report).contains(&"wall-clock"));
         assert!(rules_of(&report).contains(&"entropy"));
+    }
+
+    #[test]
+    fn env_reads_are_flagged_in_determinism_libraries_only() {
+        let src = format!(
+            "{HEADER}use std::env::var_os;\n\
+             /// Reads `std::env::var(\"X\")` — a doc comment, not code.\n\
+             pub fn f() -> Option<String> {{ std::env::var(\"L2S_WORKERS\").ok() }}\n\
+             pub fn g() {{ env :: set_var(\"K\", \"std::env::remove_var\"); }}\n\
+             pub fn h() -> std::path::PathBuf {{ std::env::temp_dir() }}\n\
+             pub fn var(x: u32) -> u32 {{ x }}\n\
+             #[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{ let _ = std::env::vars(); }}\n}}\n"
+        );
+        let ws = Workspace::new(&[
+            ("model/src/lib.rs", src.as_str()),
+            (
+                "model/src/bin/tool.rs",
+                "fn main() { let _ = std::env::var(\"X\"); }\n",
+            ),
+            ("bench/src/lib.rs", src.as_str()),
+        ]);
+        let report = ws.lint();
+        // The import, the call and the spaced-out path, as deny findings;
+        // not the doc comment, the string literal, `temp_dir`, the local
+        // `var`, the test module, the binary, or the non-determinism crate.
+        let found: Vec<(&str, usize, Severity)> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule == "env-read")
+            .map(|d| (d.path.as_str(), d.line, d.severity))
+            .collect();
+        let model = "crates/model/src/lib.rs";
+        let deny = Severity::Deny;
+        assert_eq!(
+            found,
+            [(model, 3, deny), (model, 5, deny), (model, 6, deny)]
+        );
     }
 
     #[test]

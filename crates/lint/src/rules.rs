@@ -60,6 +60,7 @@ const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng"];
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 const RAW_DURATION_FNS: &[&str] = &["from_secs_f64", "secs_to_nanos"];
+const ENV_READ_FNS: &[&str] = &["var", "var_os", "vars", "vars_os", "set_var", "remove_var"];
 
 /// Scans one file's source, returning raw (pre-allowlist) diagnostics.
 /// Returns an error only when the file cannot be lexed (unterminated
@@ -135,6 +136,22 @@ pub fn scan_file(ctx: &FileContext<'_>, src: &str) -> Result<Vec<Diagnostic>, St
                 format!(
                     "`{text}` reads the wall clock; simulation time comes from the event queue"
                 ),
+            );
+        }
+
+        // `env::var(…)` and friends, however the path is spelled
+        // (`std::env::var`, `env::var`, `use std::env::var;`).
+        if ctx.deterministic
+            && !ctx.is_binary
+            && ENV_READ_FNS.contains(&text)
+            && prev_is(&sig, src, i, ":")
+            && ident_at(&sig, src, i, 3) == Some("env")
+        {
+            emit(
+                tok,
+                "env-read",
+                Severity::Deny,
+                format!("`env::{text}` makes results depend on the process environment; take the setting as an argument and read env only in a binary's main"),
             );
         }
 

@@ -82,29 +82,30 @@ pub fn default_axes(hit_steps: usize, size_steps: usize) -> (Vec<f64>, Vec<f64>)
 /// Figure 3 / Figure 4: throughput surface of a server kind over the
 /// (hit rate, file size) grid.
 ///
-/// Rows are independent closed-form evaluations, so they are fanned out
-/// across the [`l2s_util::pool`] executor; results are collected by row
-/// index, so the surface is identical for any worker count.
+/// Every cell is one closed-form evaluation (a default-axes surface
+/// takes about a millisecond), so the surface is evaluated inline on
+/// the calling thread.
 pub fn throughput_surface(
     base: &ModelParams,
     kind: ServerKind,
     hit_rates: &[f64],
     sizes_kb: &[f64],
 ) -> Surface {
-    let workers = l2s_util::pool::workers_from_env();
-    let values = l2s_util::pool::run_indexed(workers, hit_rates.len(), |i| {
-        let h = hit_rates[i];
-        sizes_kb
-            .iter()
-            .map(|&s| {
-                let mut p = *base;
-                p.avg_file_kb = s;
-                // Invalid sweep points surface as explicit None cells
-                // rather than aborting the whole surface.
-                QueueModel::new(p).ok().map(|m| m.max_throughput(kind, h))
-            })
-            .collect()
-    });
+    let values = hit_rates
+        .iter()
+        .map(|&h| {
+            sizes_kb
+                .iter()
+                .map(|&s| {
+                    let mut p = *base;
+                    p.avg_file_kb = s;
+                    // Invalid sweep points surface as explicit None cells
+                    // rather than aborting the whole surface.
+                    QueueModel::new(p).ok().map(|m| m.max_throughput(kind, h))
+                })
+                .collect()
+        })
+        .collect();
     Surface {
         hit_rates: hit_rates.to_vec(),
         sizes_kb: sizes_kb.to_vec(),

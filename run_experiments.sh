@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every paper table/figure with a single in-process run, so
 # trace generation is shared across experiments. Quick mode by default;
-# L2S_BENCH_FULL=1 for full-fidelity runs.
+# L2S_BENCH_FULL=1 for full-fidelity runs. Arguments are passed on to
+# all_figures, e.g. `./run_experiments.sh --only fig07_calgary`.
 set -euo pipefail
 mkdir -p results/logs
-cargo run --release -p l2s-bench --bin all_figures | tee results/logs/all_figures.txt
+cargo run --release -p l2s-bench --bin all_figures -- "$@" | tee results/logs/all_figures.txt

@@ -51,7 +51,7 @@ report; --csv writes it in the experiment writers' CSV format.
 
 struct Opts {
     log: Option<String>,
-    trace: Option<String>,
+    trace: Option<TraceSpec>,
     policy: PolicyKind,
     nodes: usize,
     cache_mb: f64,
@@ -110,7 +110,7 @@ fn parse_opts(argv: Vec<String>) -> Result<Opts, String> {
         };
         match key {
             "log" => opts.log = Some(value),
-            "trace" => opts.trace = Some(value),
+            "trace" => opts.trace = Some(trace_by_name(&value)?),
             "policy" => {
                 opts.policy = PolicyKind::all()
                     .into_iter()
@@ -250,8 +250,7 @@ fn run(opts: &Opts) -> Result<(), String> {
                 run_stream(opts, std::io::BufReader::new(file), clock.as_mut())?
             }
         }
-        (None, Some(name)) => {
-            let spec = trace_by_name(name)?;
+        (None, Some(spec)) => {
             let requests = opts.requests.unwrap_or(150_000);
             let trace = spec
                 .scaled(opts.files.min(spec.num_files), requests)
@@ -311,8 +310,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // A well-formed command line that fails at run time (an unreadable
+    // log, an unwritable CSV) is not a usage error.
     if let Err(e) = run(&opts) {
-        eprintln!("error: {e}\n\n{USAGE}");
-        std::process::exit(2);
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }

@@ -188,3 +188,29 @@ fn replay_log_as_fast_as_possible_snapshots_and_writes_csv() {
     assert_eq!(row[col], format!("{p99:.6}"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+fn replay(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_l2s-replay"))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn replay_runtime_error_is_not_a_usage_error() {
+    let dir = std::env::temp_dir();
+    let out = replay(&["--log", dir.to_str().unwrap(), "--as-fast-as-possible"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.starts_with("error: "), "{err}");
+    assert!(!err.contains("USAGE"), "{err}");
+}
+
+#[test]
+fn replay_unknown_trace_is_a_usage_error() {
+    let out = replay(&["--trace", "nope", "--as-fast-as-possible"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown trace \"nope\""), "{err}");
+    assert!(err.contains("USAGE"), "{err}");
+}
